@@ -1,0 +1,12 @@
+"""Make the benchmark modules and the program importable in tests.
+
+Run from the repository root: ``python3 -m pytest perfbench/tests``.
+"""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (BENCH_DIR, os.path.join(os.path.dirname(BENCH_DIR), "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
